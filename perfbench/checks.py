@@ -62,6 +62,31 @@ def check_halted_pairs(results, limit):
 # ---------------------------------------------------------------------------
 # Suites: fixed-budget ROIs through the spec DAG
 # ---------------------------------------------------------------------------
+def check_ledger(node_sets, rows):
+    """The run ledger's job rows against the round's DAGs.
+
+    ``node_sets`` holds each spec's sim node ids, in run order; ``rows``
+    the ledger's job rows.  With a result cache that starts empty, every
+    sim node has one row, and exactly the sims an earlier spec of the
+    round already ran are cache hits.
+    """
+    failures = []
+    total = sum(len(nodes) for nodes in node_sets)
+    if len(rows) != total:
+        failures.append(f"the ledger holds {len(rows)} job rows for "
+                        f"{total} sim nodes")
+    seen = set()
+    expected = 0
+    for nodes in node_sets:
+        expected += len(seen & nodes)
+        seen |= nodes
+    hits = sum(row["cache"] == "hit" for row in rows)
+    if hits != expected:
+        failures.append(f"the result cache served {hits} sims; {expected} "
+                        f"were run earlier in the round")
+    return failures
+
+
 def check_sim_metrics(label, metrics, budget, width):
     """Budget, CPI-stack and prefetch invariants of one finished sim."""
     failures = []

@@ -122,6 +122,7 @@ def run_suite(args, profiler):
     from repro.harness.experiments import ExperimentScale
     from repro.jobs.context import ExecutionContext
     from repro.jobs.executor import Executor
+    from repro.jobs.ledger import RunLedger
     from repro.specs.dag import DagRunner
     concretize_mod = importlib.import_module("repro.specs.concretize")
 
@@ -159,17 +160,24 @@ def run_suite(args, profiler):
     context.close()
     Executor.run = executor_run
 
-    sim_nodes = sum(len(dag.sim_nodes) for _doc, dag, _res in runs)
     distinct = {}
     for spec, metrics in returned:
         if metrics is not None:
             distinct.setdefault(spec.key, (spec, metrics))
-    failed_sims = len(context.failure_report)
+    sim_nodes = sum(len(dag.sim_nodes) for _doc, dag, _res in runs)
     analyses = sum(len(dag.analyses) for _doc, dag, _res in runs)
     skipped = sum(len(res.stats["skipped"]) for _doc, _dag, res in runs)
-    executed = len({spec.key for spec, _m in returned}) - failed_sims
 
-    failures = []
+    # Each sim's disposition as the program recorded it: one ledger row
+    # per job, with its cache column ("hit" or "miss") and its status.
+    jobs = [row for row in RunLedger.read(context.ledger_path)
+            if row.get("key")]
+    cached = sum(row["cache"] == "hit" for row in jobs)
+    failed_sims = sum(row["status"] == "failed" for row in jobs)
+    executed = len(jobs) - cached - failed_sims
+
+    failures = checks.check_ledger(
+        [set(dag.sim_nodes) for _doc, dag, _res in runs], jobs)
     for spec, metrics in distinct.values():
         label = (f"{spec.label}/{spec.technique}/"
                  f"rob{spec.config.core.rob_size}")
@@ -192,10 +200,9 @@ def run_suite(args, profiler):
     return {
         "wall_s": wall_s,
         "ops": {"sims_attempted": sim_nodes, "sims_executed": executed,
-                "sims_cached": sim_nodes - executed - failed_sims,
-                "sims_failed": failed_sims,
+                "sims_cached": cached, "sims_failed": failed_sims,
                 "analyses_attempted": analyses,
-                "analyses_failed": 0, "analyses_skipped": skipped},
+                "analyses_skipped": skipped},
         "expected_timed_sims": executed,
         "failures": failures,
         "digest": checks.digest(payload),
@@ -284,8 +291,7 @@ def run_sim_complete(args, profiler):
         "ops": {"sims_attempted": len(specs),
                 "sims_executed": len(specs) - failed,
                 "sims_cached": 0, "sims_failed": failed,
-                "analyses_attempted": 0, "analyses_failed": 0,
-                "analyses_skipped": 0},
+                "analyses_attempted": 0, "analyses_skipped": 0},
         "expected_timed_sims": len(specs) - failed,
         "failures": failures,
         "digest": checks.digest(sorted(
@@ -298,8 +304,8 @@ def run_sim_complete(args, profiler):
 # ---------------------------------------------------------------------------
 # Per-layer figures (traced rounds)
 # ---------------------------------------------------------------------------
-def _layers(records, simulated):
-    """Span, GC and simulated-count figures of a traced round."""
+def _layers(records):
+    """Span and GC figures of a traced round."""
     def span(name):
         return sum(r["spans"].get(name, [0.0, 0])[0] for r in records)
 
@@ -331,7 +337,6 @@ def _layers(records, simulated):
         "specs.analysis_s": span("specs.analysis"),
         "specs.artifact_s": span("specs.artifact"),
     }
-    layers.update(simulated)
     return layers
 
 
@@ -363,20 +368,19 @@ def main(argv=None):
     own = instrument.recorder().to_dict()
     records = [own] + instrument.worker_records(args.work)
     sims = [sim for record in records for sim in record["sims"]]
-    if len(sims) != result.pop("expected_timed_sims"):
+    executed = result.pop("expected_timed_sims")
+    if len(sims) != executed:
         result["failures"].append(
-            f"timed {len(sims)} simulations across "
-            f"{len(records)} process(es), but the round executed a "
-            f"different number: a process ran without the timer")
+            f"timed {len(sims)} simulations across {len(records)} "
+            f"process(es), but the round records {executed} executed")
     starts = [r["first_sim_start"] for r in records
               if r["first_sim_start"] is not None]
     result["setup_s"] = min(starts) - args.t0 if starts else None
     result["kinst"] = sum(sim[0] for sim in sims) / 1000.0
     result["run_s"] = sum(sim[3] for sim in sims)
     result["rss_kb"] = _peak_rss_kb()
-    simulated = result.pop("simulated")
     if args.trace:
-        result["layers"] = _layers(records, simulated)
+        result["layers"] = _layers(records)
     if args.trace == 2:
         profiles = [profiler] + instrument.worker_profiles(args.work)
         result["profile"] = _profile(records, profiles)

@@ -40,8 +40,13 @@ WORKLOADS = ("suite-cold", "suite-pool", "sim-complete")
 #: Every run, rounds included, ends well inside this many seconds.
 RUN_DEADLINE_S = 170.0
 
-END_TO_END_UNITS = {"wall_s": "s", "sim_kips": "kinst/s",
-                    "peak_rss_mb": "MB", "setup_s": "s"}
+
+def _declared_units():
+    """``(end-to-end, per-layer)`` name -> unit, from ``BENCHMARK.json``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
+        bench = json.load(handle)
+    return tuple({m["name"]: m["unit"] for m in bench[kind]}
+                 for kind in ("end_to_end", "per_layer"))
 
 
 def _parse_args(argv):
@@ -150,17 +155,6 @@ def _per_layer(rounds):
     return layers
 
 
-def _unit(name):
-    if name.endswith("_s"):
-        return "s"
-    if name.endswith("_mb"):
-        return "MB"
-    if name.endswith(("ratio", "overhead", "per_access")) \
-            or ".prefetch_accuracy." in name:
-        return "ratio"
-    return "count"
-
-
 def main(argv=None):
     args = _parse_args(argv)
     if not os.path.isfile(os.path.join(ROOT, "src", "repro", "__init__.py")):
@@ -184,8 +178,7 @@ def main(argv=None):
         for key, value in result["ops"].items():
             ops[key] = ops.get(key, 0) + value
     attempted = ops["sims_attempted"] + ops["analyses_attempted"]
-    failed = (ops["sims_failed"] + ops["analyses_failed"]
-              + ops["analyses_skipped"])
+    failed = ops["sims_failed"] + ops["analyses_skipped"]
     failures = [f for result in rounds for f in result["failures"]]
     digests = sorted({result["digest"] for result in rounds})
     if len(digests) != 1:
@@ -199,7 +192,6 @@ def main(argv=None):
           f"executed={ops['sims_executed']} cached={ops['sims_cached']} "
           f"failed={ops['sims_failed']}; "
           f"analyses attempted={ops['analyses_attempted']} "
-          f"failed={ops['analyses_failed']} "
           f"skipped={ops['analyses_skipped']}")
     print(f"digest {args.workload} seed={args.seed}: {digests[0]}")
     if rounds[0]["speedups"]:
@@ -207,13 +199,18 @@ def main(argv=None):
               f"OoO, simulated): " + " ".join(
                   f"{name}={value:.3f}"
                   for name, value in rounds[0]["speedups"].items()))
-    if args.trace:
-        values = _per_layer(rounds)
-        metrics = {name: {"value": value, "unit": _unit(name)}
-                   for name, value in values.items()}
-    else:
-        metrics = {name: {"value": value, "unit": END_TO_END_UNITS[name]}
-                   for name, value in _end_to_end(rounds).items()}
+    # Counts of the modelled design: equal digests imply equal counts.
+    print(f"simulated {args.workload} seed={args.seed}: " + " ".join(
+        f"{name}={value:.6g}"
+        for name, value in rounds[0]["simulated"].items()))
+    end_to_end, per_layer = _declared_units()
+    units = per_layer if args.trace else end_to_end
+    values = _per_layer(rounds) if args.trace else _end_to_end(rounds)
+    if set(values) != set(units):
+        _fail(f"measured metrics {sorted(values)} differ from those "
+              f"BENCHMARK.json declares: {sorted(units)}")
+    metrics = {name: {"value": values[name], "unit": unit}
+               for name, unit in units.items()}
     for name, metric in metrics.items():
         print(f"metric {name} = {metric['value']:.6g} {metric['unit']}")
     print(json.dumps({"correct": not failures, "attempted": attempted,

@@ -6,13 +6,14 @@ Usage (from the repository root)::
     python3 perfbench/steady.py run --runs 10 --out set-b.json
     python3 perfbench/steady.py compare set-a.json set-b.json
 
-``run`` alternates between the workloads (one run of each, then the
-next seed), using seeds ``--seed0``, ``--seed0 + 1``, ...  It prints
-each end-to-end metric's median, quartiles and spread (inter-quartile
-distance over the median) beside the metric's bound from
-``BENCHMARK.json``, and saves the raw results.  ``compare`` checks that
-the second set's median is not worse than the first's by more than the
-bound, and that both sets failed the same share of operations.
+``run`` alternates between every workload in ``BENCHMARK.json`` (one
+run of each, then the next seed), each run ``run_seconds`` long, using
+seeds ``--seed0``, ``--seed0 + 1``, ...  It prints each end-to-end
+metric's median, quartiles and spread (inter-quartile distance over the
+median) beside the metric's bound, and saves the raw results.
+``compare`` checks that the two sets' medians are no further apart, in
+either direction, than the bound (a share of the first set's median),
+and that both sets failed the same share of operations.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ def _summary(values):
 
 def cmd_run(args):
     bench = _benchmark()
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     results = {workload: [] for workload in workloads}
     for index in range(args.runs):
         for workload in workloads:
@@ -102,11 +103,11 @@ def cmd_compare(args):
                                   for r in first[workload])
             b = statistics.median(r["metrics"][name]["value"]
                                   for r in second[workload])
-            worse = (b - a) / a if metric["better"] == "lower" else (a - b) / a
-            verdict = "ok" if worse <= metric["bound"] else "WORSE"
+            moved = (b - a) / a
+            verdict = "ok" if abs(moved) <= metric["bound"] else "MOVED"
             ok &= verdict == "ok"
             print(f"{workload:14} {name:12} first {a:10.4f} second "
-                  f"{b:10.4f} worse by {worse:+.3f} (bound "
+                  f"{b:10.4f} moved {moved:+.3f} (bound "
                   f"{metric['bound']:.2f}) {verdict}")
         shares = [sum(r["failed"] for r in runs)
                   / sum(r["attempted"] for r in runs)
@@ -124,9 +125,6 @@ def main(argv=None):
     run = sub.add_parser("run", help="repeated runs, alternating workloads")
     run.add_argument("--runs", type=int, default=10)
     run.add_argument("--seed0", type=int, default=1000)
-    run.add_argument("--seconds", type=int, default=None,
-                     help="run length (default: BENCHMARK.json)")
-    run.add_argument("--workloads", nargs="*", default=None)
     run.add_argument("--out", required=True)
     compare = sub.add_parser("compare", help="compare two saved sets")
     compare.add_argument("first")

@@ -87,6 +87,16 @@ def test_sim_metrics_check_catches_overused_prefetches(roi_metrics):
     assert checks.check_sim_metrics("bfs", bad, 400, 5)
 
 
+def test_ledger_check_catches_a_lost_cache_hit():
+    nodes = [{"sim:a", "sim:b"}, {"sim:b", "sim:c"}]
+    rows = [{"key": "a", "cache": "miss"}, {"key": "b", "cache": "miss"},
+            {"key": "b", "cache": "hit"}, {"key": "c", "cache": "miss"}]
+    assert checks.check_ledger(nodes, rows) == []
+    assert checks.check_ledger(nodes, rows[:2] + [
+        {"key": "b", "cache": "miss"}] + rows[3:])
+    assert checks.check_ledger(nodes, rows[:3])
+
+
 # ---------------------------------------------------------------------------
 # Tables: the program's analysis functions against the recomputation
 # ---------------------------------------------------------------------------

@@ -71,8 +71,13 @@ def test_seed_changes_the_inputs(untraced):
 
 
 def test_traced_run_reports_every_layer_metric():
-    _stdout, result = _result(_run("suite-pool", 1))
+    stdout, result = _result(_run("suite-pool", 1))
     _check_schema(result, SPEC["per_layer"])
+    simulated = next(line for line in stdout.splitlines()
+                     if line.startswith("simulated suite-pool "))
+    for name in ("uarch.cycles", "uarch.committed", "memsys.dram_accesses",
+                 "memsys.prefetch_accuracy.dvr", "branch.mispredicts"):
+        assert f" {name}=" in simulated
 
 
 def test_fails_without_the_program(tmp_path):
